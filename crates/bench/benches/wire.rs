@@ -85,13 +85,6 @@ fn corpus() -> Vec<(&'static str, Frame<MockCipher>)> {
                 tallies: Tallies { msgs_sent: 421, retries: 3, ..Tallies::default() },
             }),
         ),
-        (
-            "checkpoint_4k",
-            Frame::Checkpoint {
-                resource: 2,
-                image: (0..4096u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect(),
-            },
-        ),
     ]
 }
 

@@ -19,10 +19,10 @@ use std::collections::HashMap;
 
 use gridmine_arm::{CandidateRule, Database, Transaction};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::RuleRecord;
 
 use crate::counter::{CounterLayout, SecureCounter};
 use crate::keyring::TagKeyring;
+use crate::recovery::RuleRecord;
 use crate::shares::ShareSet;
 
 /// Per-rule incremental scan state.

@@ -47,6 +47,7 @@ pub mod kttp;
 pub mod miner;
 pub mod packed;
 pub mod plain;
+pub mod recovery;
 pub mod resource;
 pub mod session;
 pub mod sfe;
@@ -59,12 +60,12 @@ pub use broker::{Broker, BrokerMsg};
 pub use chaos::{ChaosReport, DegradeReason, ResourceStatus};
 pub use controller::{AuditImage, Controller, SentAggregate, Verdict};
 pub use counter::{CounterLayout, SecureCounter};
-pub use gridmine_recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 pub use keyring::GridKeys;
 pub use kttp::KTtp;
 pub use miner::{MineConfig, MiningOutcome};
 pub use packed::PackedCounter;
 pub use plain::PlainCounter;
+pub use recovery::{RecoveryMode, RecoveryPolicy, RetryPolicy};
 pub use resource::{SecureResource, WireMsg};
 pub use session::{MineSession, SessionCipher, SessionError};
 pub use sfe::{GateMode, KGate};

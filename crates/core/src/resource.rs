@@ -15,7 +15,7 @@ use gridmine_arm::{CandidateRule, Database, Item, Rule, RuleSet};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::{JournalEntry, RecoveryImage, RecoveryLog, ResourceState, RetryPolicy};
+use gridmine_store::{Backend, MemBackend, Store};
 
 use crate::accountant::Accountant;
 use crate::attack::{BrokerBehavior, ControllerBehavior};
@@ -24,6 +24,7 @@ use crate::chaos::DegradeReason;
 use crate::controller::{Controller, Verdict};
 use crate::counter::CounterLayout;
 use crate::keyring::GridKeys;
+use crate::recovery::{decode_image, encode_image, RetryPolicy, RuleRecord, JOURNAL_TREE};
 
 /// A protocol message in flight between two resources.
 pub type WireMsg<C> = BrokerMsg<C>;
@@ -53,12 +54,18 @@ pub struct SecureResource<C: HomCipher> {
     retry_budget: u64,
     /// Controller deviation (validity experiments).
     pub controller_behavior: ControllerBehavior,
-    /// Checkpoint + journal, when recovery is armed (write-ahead state:
-    /// survives [`SecureResource::crash_wipe`]).
-    rec_log: Option<RecoveryLog>,
-    /// Attack injection: forge the journal so the next restore must be
-    /// rejected (the recovery analogue of [`BrokerBehavior`]).
+    /// The recovery journal, when armed: a store with one tree keyed by
+    /// rule whose values are full [`RuleRecord`]s. It models the node's
+    /// disk, so it survives [`SecureResource::crash_wipe`].
+    rec_log: Option<Store<MemBackend>>,
+    /// Attack injection: forge the journal's files at the next crash so
+    /// the restore must reject them (the recovery analogue of
+    /// [`BrokerBehavior`]).
     tamper_journal: bool,
+    /// Set by a crash while `tamper_journal` was pending: the journal's
+    /// files read back with one WAL digest byte flipped until the next
+    /// rebaseline rewrites them.
+    journal_forged: bool,
     /// True while [`SecureResource::nudge`] re-sends current aggregates
     /// (tags outgoing `CounterSent` events as resends).
     resending: bool,
@@ -116,6 +123,7 @@ impl<C: HomCipher> SecureResource<C> {
             controller_behavior: ControllerBehavior::Honest,
             rec_log: None,
             tamper_journal: false,
+            journal_forged: false,
             resending: false,
             resends_sent: 0,
             checkpoints_taken: 0,
@@ -352,14 +360,15 @@ impl<C: HomCipher> SecureResource<C> {
             self.layout.neighbors.iter().map(|&v| (v, self.acc.placeholder_for(v))).collect();
         self.broker.init_rule(cand, local, placeholders);
         self.output_cache.insert(cand.clone(), false);
-        self.journal(JournalEntry::RuleRegistered { rule: cand.clone() });
+        self.journal(cand);
     }
 
-    /// Appends a state delta to the recovery journal, when armed.
-    fn journal(&mut self, entry: JournalEntry) {
-        if let Some(log) = self.rec_log.as_mut() {
-            log.append(entry);
-        }
+    /// Journals `rule`'s full current record, when recovery is armed.
+    fn journal(&mut self, rule: &CandidateRule) {
+        let Some(store) = self.rec_log.as_mut() else { return };
+        let Some(mut rec) = self.acc.scan_record(rule) else { return };
+        rec.output = self.output_cache.get(rule).copied();
+        put_record(store, &rec);
     }
 
     /// Evaluates the send condition toward every neighbor for one rule
@@ -437,18 +446,7 @@ impl<C: HomCipher> SecureResource<C> {
                     self.broker.set_local(&cand, counter);
                     out.extend(self.on_change(&cand));
                 }
-                if self.rec_log.is_some() {
-                    if let Some(r) = self.acc.scan_record(&cand) {
-                        self.journal(JournalEntry::ScanAdvanced {
-                            rule: r.rule,
-                            frontier: r.frontier,
-                            sum: r.sum,
-                            count: r.count,
-                            clock: r.clock,
-                            last_sum: r.last_sum,
-                        });
-                    }
-                }
+                self.journal(&cand);
             }
             if !self.is_live() {
                 break;
@@ -530,8 +528,8 @@ impl<C: HomCipher> SecureResource<C> {
                     } else {
                         answer
                     };
-                    self.journal(JournalEntry::OutputCached { rule: cand.clone(), answer });
-                    self.output_cache.insert(cand, answer);
+                    self.output_cache.insert(cand.clone(), answer);
+                    self.journal(&cand);
                 }
                 Err(verdict) => {
                     self.halted = Some(verdict);
@@ -587,12 +585,12 @@ impl<C: HomCipher> SecureResource<C> {
 
     // ---- checkpoint / journal recovery -------------------------------
 
-    /// Arms checkpoint recovery: takes a baseline snapshot of the current
-    /// mining state and starts journalling every state delta. Until armed,
-    /// the resource behaves exactly as before (cold-restart world).
+    /// Arms checkpoint recovery: opens the journal store and writes the
+    /// current mining state as its baseline. Until armed, the resource
+    /// behaves exactly as before (cold-restart world).
     pub fn arm_recovery(&mut self) {
-        let state = self.current_state();
-        self.rec_log = Some(RecoveryLog::baseline(state));
+        self.rec_log = Store::in_memory().ok();
+        self.rebaseline();
     }
 
     /// True once [`SecureResource::arm_recovery`] has run.
@@ -600,26 +598,29 @@ impl<C: HomCipher> SecureResource<C> {
         self.rec_log.is_some()
     }
 
-    /// The volatile mining state a crash would lose: every candidate's
-    /// scan position plus its cached `Output()` answer.
-    fn current_state(&self) -> ResourceState {
-        let mut records = self.acc.scan_snapshot();
-        for r in &mut records {
-            r.output = self.output_cache.get(&r.rule).copied();
+    /// Writes every rule's current record (scan position plus cached
+    /// `Output()` answer) and compacts, so the journal's snapshot is the
+    /// current mining state and its WAL is empty. The tree can lag the
+    /// accountant between journal points (a scan that moved no counter,
+    /// a rewire's fresh clocks), which is why this writes before folding.
+    fn rebaseline(&mut self) {
+        let Some(store) = self.rec_log.as_mut() else { return };
+        for mut rec in self.acc.scan_snapshot() {
+            rec.output = self.output_cache.get(&rec.rule).copied();
+            put_record(store, &rec);
         }
-        ResourceState { resource: self.id as u64, records }
+        // An in-memory backend never errors, so neither does compaction.
+        let _ = store.compact();
+        self.journal_forged = false;
     }
 
-    /// Takes a checkpoint: collapses the journal into a fresh snapshot
+    /// Takes a checkpoint: folds the journal into a fresh snapshot
     /// (bounding replay length). No-op until recovery is armed.
     pub fn take_checkpoint(&mut self, tick: u64) {
         if self.rec_log.is_none() {
             return;
         }
-        let state = self.current_state();
-        if let Some(log) = self.rec_log.as_mut() {
-            log.rebaseline(state);
-        }
+        self.rebaseline();
         self.checkpoints_taken += 1;
         emit(&self.rec, || Event::CheckpointTaken { resource: self.id as u64, tick });
     }
@@ -627,15 +628,12 @@ impl<C: HomCipher> SecureResource<C> {
     /// Simulates the volatile-state loss of a crash: scan positions,
     /// voting instances and output caches are gone; the keyring, the
     /// controller's audit state (durable by construction — losing k-gates
-    /// would be a privacy hole) and the write-ahead recovery log survive.
+    /// would be a privacy hole) and the write-ahead recovery journal survive.
     pub fn crash_wipe(&mut self) {
-        if self.tamper_journal {
-            // The adversary forges the "persisted" journal while the
+        if std::mem::take(&mut self.tamper_journal) {
+            // The adversary forges the persisted journal while the
             // resource is down; the restore screens must catch it.
-            if let Some(log) = self.rec_log.as_mut() {
-                log.corrupt();
-            }
-            self.tamper_journal = false;
+            self.journal_forged = self.rec_log.is_some();
         }
         self.acc.wipe_scans();
         self.broker.rewire(self.layout.clone());
@@ -650,45 +648,61 @@ impl<C: HomCipher> SecureResource<C> {
         self.ctl.set_layout(self.layout.clone());
     }
 
-    /// Restores mining state from the recovery log: verifies the digest
-    /// chain, screens every restored record exactly like a wire message
-    /// (the journal is untrusted input), re-audits the accounting shares,
-    /// then replays. On any failure the resource blames itself with
+    /// The journal as a restart reads it back: a copy of its files and
+    /// the pinned chain head, with the first WAL record's digest flipped
+    /// when an attack forged it.
+    fn persisted_journal(&self) -> Option<(MemBackend, u64)> {
+        let store = self.rec_log.as_ref()?;
+        let mut files = store.backend().clone();
+        if self.journal_forged {
+            let wal = files.list().ok()?.into_iter().find(|n| n.starts_with("wal-"))?;
+            // A record opens with `len:u32 seq:u64`; its digest follows.
+            if let Some(byte) = files.bytes_mut(&wal).get_mut(12) {
+                *byte ^= 0x01;
+            }
+        }
+        Some((files, store.head()))
+    }
+
+    /// Restores mining state from the recovery journal (see
+    /// [`SecureResource::restore_journal`]). Returns `true` on success.
+    pub fn restore_from_log(&mut self) -> bool {
+        match self.persisted_journal() {
+            Some((files, head)) => self.restore_journal(files, head),
+            None => false,
+        }
+    }
+
+    /// Reopens a journal store from its files — which verifies the digest
+    /// chain — and checks the pinned head, then screens every restored
+    /// record exactly like a wire message (the journal is untrusted
+    /// input), re-audits the accounting shares, and applies. On any
+    /// failure the resource blames itself with
     /// [`Verdict::MaliciousResource`] and stays out of the protocol — a
     /// forged journal degrades one resource, it never panics the grid.
-    ///
-    /// Returns `true` on a successful restore.
-    pub fn restore_from_log(&mut self) -> bool {
-        let Some(log) = self.rec_log.take() else {
-            return false;
+    fn restore_journal(&mut self, files: MemBackend, head: u64) -> bool {
+        let store = match Store::open(files) {
+            Ok(store) if store.head() == head => store,
+            Ok(_) => return self.reject_recovery("journal head mismatch (truncated tail)".into()),
+            Err(e) => return self.reject_recovery(format!("journal store refused: {e}")),
         };
-        let entries = log.len() as u64;
-        let state = match log.replay() {
-            Ok(s) => s,
-            Err(e) => {
-                self.rec_log = Some(log);
-                return self.reject_recovery(e.to_string());
+        let mut records: Vec<RuleRecord> = Vec::with_capacity(store.tree_len(JOURNAL_TREE));
+        for (_, value) in store.scan_tree(JOURNAL_TREE) {
+            match std::str::from_utf8(value).ok().and_then(|s| serde_json::from_str(s).ok()) {
+                Some(rec) => records.push(rec),
+                None => return self.reject_recovery("undecodable journal record".into()),
             }
-        };
-        if state.resource != self.id as u64 {
-            self.rec_log = Some(log);
-            return self.reject_recovery(format!(
-                "journal belongs to resource {}, not {}",
-                state.resource, self.id
-            ));
         }
         let db_len = self.acc.db_len() as u64;
-        if let Some(bad) = state.records.iter().find(|r| !r.is_wellformed(db_len)) {
-            self.rec_log = Some(log);
+        if let Some(bad) = records.iter().find(|r| !r.is_wellformed(db_len)) {
             return self.reject_recovery(format!("malformed restored record for {}", bad.rule));
         }
         if !self.acc.audit_shares() {
-            self.rec_log = Some(log);
             return self.reject_recovery("accounting shares no longer sum to one".into());
         }
         // Screens passed: apply. Same wiring as `rewire`, but scan state
         // comes from the journal instead of starting at the epoch.
-        for r in &state.records {
+        for r in &records {
             self.acc.register_rule(&r.rule);
             self.acc.restore_scan(r);
             // The journal is recovered input, not trusted state: a rule
@@ -697,14 +711,12 @@ impl<C: HomCipher> SecureResource<C> {
             let Some(local) = self.acc.respond(&r.rule).pop() else {
                 self.acc.wipe_scans();
                 self.output_cache.clear();
-                self.rec_log = Some(log);
                 return self
                     .reject_recovery(format!("no local counter for restored rule {}", r.rule));
             };
             if !self.broker.counter_is_wellformed(&local) {
                 self.acc.wipe_scans();
                 self.output_cache.clear();
-                self.rec_log = Some(log);
                 return self.reject_recovery(format!("restored counter for {} is corrupt", r.rule));
             }
             let placeholders =
@@ -715,19 +727,20 @@ impl<C: HomCipher> SecureResource<C> {
         self.recover_reset();
         // Re-baseline on the restored state: the replayed journal has
         // done its job and replay length stays bounded.
-        let mut log = log;
-        log.rebaseline(self.current_state());
-        self.rec_log = Some(log);
+        let entries = store.wal_records();
+        self.rec_log = Some(store);
+        self.rebaseline();
         self.journal_replays += 1;
         emit(&self.rec, || Event::JournalReplayed { resource: self.id as u64, entries });
         true
     }
 
-    /// Serializes the recovery log for external persistence (the threaded
-    /// driver round-trips it through bytes, as a file-backed store would).
+    /// Spills the recovery journal for external persistence (the threaded
+    /// driver round-trips it through bytes, the net node through a file):
+    /// see [`crate::recovery::encode_image`].
     pub fn encode_recovery_image(&self) -> Option<Vec<u8>> {
-        let log = self.rec_log.as_ref()?;
-        Some(RecoveryImage { resource: self.id as u64, log: log.clone() }.to_bytes())
+        let (files, head) = self.persisted_journal()?;
+        Some(encode_image(self.id as u64, head, &files))
     }
 
     /// Durable controller state (Lamport clocks, k-gate registers,
@@ -746,22 +759,21 @@ impl<C: HomCipher> SecureResource<C> {
         self.ctl.import_audits(images);
     }
 
-    /// Restores from a serialized [`RecoveryImage`]. Decode failures and
-    /// mismatched ownership take the same rejection path as a forged
-    /// journal — bytes from disk are as untrusted as bytes off the wire.
+    /// Restores from [`SecureResource::encode_recovery_image`] bytes.
+    /// Decode failures and mismatched ownership take the same rejection
+    /// path as a forged journal — bytes from disk are as untrusted as
+    /// bytes off the wire.
     pub fn restore_from_image(&mut self, bytes: &[u8]) -> bool {
-        let image = match RecoveryImage::from_bytes(bytes) {
-            Ok(i) => i,
-            Err(e) => return self.reject_recovery(format!("undecodable recovery image: {e}")),
+        let Some((owner, head, files)) = decode_image(bytes) else {
+            return self.reject_recovery("undecodable recovery image".into());
         };
-        if image.resource != self.id as u64 {
+        if owner != self.id as u64 {
             return self.reject_recovery(format!(
-                "recovery image belongs to resource {}, not {}",
-                image.resource, self.id
+                "recovery image belongs to resource {owner}, not {}",
+                self.id
             ));
         }
-        self.rec_log = Some(image.log);
-        self.restore_from_log()
+        self.restore_journal(files, head)
     }
 
     /// Attack injection: forge the journal during the next crash so the
@@ -806,6 +818,15 @@ impl<C: HomCipher> SecureResource<C> {
     /// True if the SFE retry budget ever ran dry.
     pub fn retry_exhausted(&self) -> bool {
         self.retry_exhausted
+    }
+}
+
+/// Writes one journal record, keyed by the rule's display string. An
+/// in-memory put fails only for a record over the store's 16 MiB cap,
+/// which a rule record cannot reach.
+fn put_record(store: &mut Store<MemBackend>, rec: &RuleRecord) {
+    if let Ok(value) = serde_json::to_string(rec) {
+        let _ = store.put(JOURNAL_TREE, rec.rule.to_string().as_bytes(), value.as_bytes());
     }
 }
 

@@ -36,13 +36,13 @@ use gridmine_arm::{Database, Item};
 use gridmine_majority::CandidateGenerator;
 use gridmine_obs::{emit, Event, FanoutRecorder, Metrics, SharedRecorder};
 use gridmine_paillier::{HomCipher, MockCipher, PaillierCtx};
-use gridmine_recovery::RecoveryMode;
 use gridmine_topology::faults::FaultPlan;
 use gridmine_topology::Tree;
 
 use crate::chaos::{ChaosReport, ResourceStatus};
 use crate::keyring::GridKeys;
 use crate::miner::{MineConfig, MiningOutcome};
+use crate::recovery::RecoveryMode;
 use crate::resource::{wire_grid, SecureResource, WireMsg};
 use crate::threaded::run_threaded_full;
 

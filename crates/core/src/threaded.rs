@@ -45,11 +45,11 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gridmine_arm::RuleSet;
 use gridmine_obs::{emit, Event, SharedRecorder};
 use gridmine_paillier::HomCipher;
-use gridmine_recovery::{RecoveryMode, RetryPolicy};
 use gridmine_topology::faults::{FaultPlan, FaultStats, FaultyLink, ResourceFault};
 
 use crate::chaos::{ChaosReport, DegradeReason, ResourceStatus};
 use crate::miner::MiningOutcome;
+use crate::recovery::{RecoveryMode, RetryPolicy};
 use crate::resource::{SecureResource, WireMsg};
 
 /// Sends `msgs` through the fault layer: dropped messages vanish,

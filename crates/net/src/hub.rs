@@ -395,10 +395,7 @@ impl<C: NetCipher> NetSession<C> {
 fn session_id(seed: u64) -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nonce = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let mut x = seed ^ (u64::from(std::process::id()) << 32) ^ nonce;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    gridmine_store::splitmix64(seed ^ (u64::from(std::process::id()) << 32) ^ nonce)
 }
 
 /// What a peer's reader thread reports back to the hub loop.

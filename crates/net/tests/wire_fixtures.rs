@@ -131,14 +131,17 @@ fn protocol_frames_are_pinned() {
         "474d570101000e0026000000220000007b226576656e74223a22526f756e64416476616e636564222\
          c227469636b223a337dffb09d7d484bd3e6",
     );
-    pin(
-        &Frame::<MockCipher>::Checkpoint { resource: 2, image: vec![1, 2, 3] },
+    // Kinds 15 and 16 (the retired recovery-image frames) stay reserved:
+    // the bytes once pinned for them now decode to a typed refusal.
+    for retired in [
         "474d570101000f000b0000000200000003000000010203902edee0f4fd5a40",
-    );
-    pin(
-        &Frame::<MockCipher>::Restore { resource: 2, image: vec![4, 5] },
         "474d5701010010000a000000020000000200000004057aa4bda8a2fe140b",
-    );
+    ] {
+        assert!(matches!(
+            decode::<MockCipher>(&unhex(retired)),
+            Err(WireError::Malformed("retired frame kind"))
+        ));
+    }
     pin(
         &Frame::<MockCipher>::Report(NodeReport {
             resource: 1,

@@ -47,7 +47,7 @@ use crate::wheel::TimerWheel;
 use crate::workload::GrowthPlan;
 
 // The anti-entropy resend cadence now lives in
-// `gridmine_recovery::RetryPolicy::resend_every` (default 5 steps, the
+// `gridmine_core::RetryPolicy::resend_every` (default 5 steps, the
 // value previously hard-coded here).
 
 /// Per-resource result of a parallel scan pass: (had backlog before,

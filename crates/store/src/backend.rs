@@ -14,6 +14,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
+use crate::wal::{push_bytes, push_str, Cursor};
 
 /// Primitive file operations, in terms the crash model understands.
 ///
@@ -147,10 +148,10 @@ impl Backend for FsBackend {
 }
 
 /// Crash-safe whole-file write: sibling tmp file, fsync, atomic rename,
-/// parent-directory fsync. Returns the path actually written. This is
-/// the primitive `RecoveryImage::write_to` and the snapshot rotation
-/// share; a reader never observes a half-written file, only the old
-/// bytes or the new.
+/// parent-directory fsync. Returns the path actually written. Every
+/// single-blob publish (node state files, reports) goes through it; a
+/// reader never observes a half-written file, only the old bytes or the
+/// new.
 pub fn atomic_write_file<P: AsRef<Path>>(path: P, bytes: &[u8]) -> std::io::Result<PathBuf> {
     let path = path.as_ref();
     let dir = match path.parent() {
@@ -229,6 +230,34 @@ impl MemBackend {
     pub fn bytes(&self, name: &str) -> Option<&[u8]> {
         self.files.get(name).map(|f| f.bytes.as_slice())
     }
+
+    /// A total, length-prefixed encoding of every file's live bytes, in
+    /// name order: per file a `u16` name length, the name, a `u32` byte
+    /// length and the bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (name, f) in &self.files {
+            push_str(&mut out, name);
+            push_bytes(&mut out, &f.bytes);
+        }
+        out
+    }
+
+    /// Decodes [`MemBackend::encode`] output, every file fully synced;
+    /// `None` on a short field, a non-UTF-8 name or a repeated name.
+    pub fn decode(image: &[u8]) -> Option<MemBackend> {
+        let mut r = Cursor { buf: image, pos: 0 };
+        let mut files = BTreeMap::new();
+        while r.pos < image.len() {
+            let name = r.string()?;
+            let bytes = r.bytes()?;
+            let synced = bytes.len();
+            if files.insert(name, MemFile { bytes, synced }).is_some() {
+                return None;
+            }
+        }
+        Some(MemBackend { files })
+    }
 }
 
 impl Backend for MemBackend {
@@ -291,6 +320,21 @@ mod tests {
         assert_eq!(lost.bytes("f"), Some(&b"hello"[..]));
         let kept = b.crashed(false);
         assert_eq!(kept.bytes("f"), Some(&b"hello world"[..]));
+    }
+
+    #[test]
+    fn mem_backend_image_round_trips_and_rejects_malformed_bytes() {
+        let mut b = MemBackend::new();
+        b.append("snap", b"").expect("append");
+        b.append("wal", b"records").expect("append");
+        let image = b.encode();
+        let back = MemBackend::decode(&image).expect("decodes");
+        assert_eq!(back.encode(), image);
+        assert_eq!(back.crashed(true).bytes("wal"), Some(&b"records"[..]), "decoded as synced");
+        // A field cut short, a repeated name, or garbage: refused.
+        assert!(MemBackend::decode(&image[..image.len() - 1]).is_none());
+        assert!(MemBackend::decode(&[image.clone(), image.clone()].concat()).is_none());
+        assert!(MemBackend::decode(&[0xFF; 7]).is_none());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * **Keyed trees** ([`Store`]): named `BTreeMap`s of byte keys to
 //!   byte values, rebuilt on open from a snapshot plus a WAL tail.
 //! * **Digest-chained WAL** ([`wal`]): every record carries a SplitMix64
-//!   chain digest in the recovery journal's discipline, so corruption
-//!   and naive tampering surface as typed errors on the exact record.
+//!   chain digest ([`splitmix64`] is the workspace's one mixer), so
+//!   corruption and naive tampering surface as typed errors on the exact
+//!   record.
 //! * **Atomic rotation**: snapshots are published by tmp + fsync +
 //!   rename ([`atomic_write_file`] is the shared primitive); a crash at
 //!   any byte leaves the old generation or the new, never a mix.
@@ -23,10 +24,9 @@
 //!   in `tests/crash_points.rs` proves every kill point recovers to a
 //!   pre- or post-write state — never a torn one, never a panic.
 //!
-//! Like the recovery journal, the chain is **tamper evidence, not
-//! authentication**: it is keyless. A forger who recomputes digests is
-//! caught downstream by the restore screens, which treat everything
-//! read from disk as untrusted input.
+//! The chain is **tamper evidence, not authentication**: it is keyless.
+//! A forger who recomputes digests is caught downstream by the restore
+//! screens, which treat everything read from disk as untrusted input.
 
 // Protocol-adjacent crate: bytes come from disk, which the adversary
 // model treats as hostile input, so `.unwrap()` outside tests is part
@@ -44,3 +44,4 @@ pub use backend::{atomic_write_file, Backend, FsBackend, MemBackend};
 pub use crash::{CrashBackend, CrashPlan, OpKind};
 pub use error::{CorruptKind, StoreError};
 pub use store::{OpenReport, Store, MAX_TREE_NAME};
+pub use wal::splitmix64;

@@ -434,6 +434,18 @@ impl<B: Backend> Store<B> {
         Ok(())
     }
 
+    /// The chain head: the digest of the last record written. Pinning it
+    /// detects a reopened store that lost whole records off its tail,
+    /// which [`Store::open`] alone reads as a clean, shorter log.
+    pub fn head(&self) -> u64 {
+        self.head
+    }
+
+    /// Read access to the backend (spilling an in-memory store's files).
+    pub fn backend(&self) -> &B {
+        &self.backend
+    }
+
     /// Current segment generation.
     pub fn generation(&self) -> u64 {
         self.generation

@@ -9,14 +9,12 @@
 //! └─────────┴─────────┴────────────┴──────────────┘
 //! ```
 //!
-//! `digest = digest_bytes(prev_digest ^ seq, payload)` — the same
-//! SplitMix64 chain discipline as `gridmine-recovery`'s journal, with
-//! its own genesis constant and a per-(kind, generation) seed so a
-//! record can never be spliced between segments, generations or kinds.
-//! This is **tamper evidence, not authentication**: it is keyless, and
-//! catches corruption and naive tampering; a forger who recomputes the
-//! chain is caught downstream by the restore screens (share audits,
-//! wellformedness), exactly as for the recovery journal.
+//! `digest = digest_bytes(prev_digest ^ seq, payload)` — a SplitMix64
+//! chain with a per-(kind, generation) seed so a record can never be
+//! spliced between segments, generations or kinds. This is **tamper
+//! evidence, not authentication**: it is keyless, and catches corruption
+//! and naive tampering; a forger who recomputes the chain is caught
+//! downstream by the restore screens (share audits, wellformedness).
 //!
 //! ## Torn tails vs. corruption
 //!
@@ -44,9 +42,7 @@ pub const HEADER: usize = 4 + 8 + 8;
 /// write time and read as tampering at decode time.
 pub const MAX_PAYLOAD: usize = 1 << 24;
 
-/// Domain-separation constant for segment chains (distinct from the
-/// recovery journal's genesis, so a journal can never pose as a
-/// segment or vice versa).
+/// Domain-separation constant for segment chains.
 const GENESIS: u64 = 0x570E_C0DE_1217_6A0A;
 
 /// Which flavor of segment a chain seed belongs to.
@@ -58,9 +54,11 @@ pub enum SegKind {
     Wal,
 }
 
-/// SplitMix64 finalizer — the workspace's standard mixing primitive
-/// (same constants as `gridmine-recovery`).
-fn mix(mut x: u64) -> u64 {
+/// SplitMix64 finalizer — the workspace's one mixing primitive: this
+/// chain, the net frame checksum, the hub's session ids, seeded fault
+/// decisions and retry jitter all call it. Not cryptographic.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -69,11 +67,11 @@ fn mix(mut x: u64) -> u64 {
 
 /// Chains `bytes` onto `seed`, 8 little-endian bytes at a time.
 pub fn digest_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    let mut acc = mix(seed ^ bytes.len() as u64);
+    let mut acc = splitmix64(seed ^ bytes.len() as u64);
     for chunk in bytes.chunks(8) {
         let mut word = [0u8; 8];
         word.iter_mut().zip(chunk).for_each(|(w, &b)| *w = b);
-        acc = mix(acc ^ u64::from_le_bytes(word));
+        acc = splitmix64(acc ^ u64::from_le_bytes(word));
     }
     acc
 }
@@ -84,7 +82,7 @@ pub fn seg_seed(kind: SegKind, generation: u64) -> u64 {
         SegKind::Snapshot => 0x5A0D,
         SegKind::Wal => 0x3A11,
     };
-    GENESIS ^ mix(generation ^ tag)
+    GENESIS ^ splitmix64(generation ^ tag)
 }
 
 /// One logical store operation, as carried in a record payload.
@@ -153,21 +151,21 @@ impl Op {
     }
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
 
-fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
 
 /// Bounds-checked little-endian reader (the net codec's `Reader`
-/// idiom, scoped to record payloads).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// idiom, scoped to record payloads and in-memory store images).
+pub(crate) struct Cursor<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
 }
 
 impl Cursor<'_> {
@@ -186,12 +184,12 @@ impl Cursor<'_> {
         self.take(8)?.try_into().ok().map(u64::from_le_bytes)
     }
 
-    fn string(&mut self) -> Option<String> {
+    pub(crate) fn string(&mut self) -> Option<String> {
         let n = u16::from_le_bytes(self.take(2)?.try_into().ok()?) as usize;
         String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
         let n = u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize;
         Some(self.take(n)?.to_vec())
     }

@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use gridmine_store::splitmix64;
 use serde::{Deserialize, Serialize};
 
 use crate::graph::NodeId;
@@ -436,14 +437,6 @@ impl Delivery {
     }
 }
 
-/// SplitMix64 finalizer — the per-message decision hash.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// A uniform draw in `[0, 1)` from 53 high bits.
 fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -493,23 +486,24 @@ impl FaultyLink {
         }
         let seq = self.seq.entry((from, to)).or_insert(0);
         *seq += 1;
-        let base = mix(self
-            .plan
-            .seed
-            .wrapping_add(mix(((from as u64) << 32) | to as u64))
-            .wrapping_add(*seq));
-        if unit_f64(mix(base ^ 0xD609)) < faults.drop {
+        let base = splitmix64(
+            self.plan
+                .seed
+                .wrapping_add(splitmix64(((from as u64) << 32) | to as u64))
+                .wrapping_add(*seq),
+        );
+        if unit_f64(splitmix64(base ^ 0xD609)) < faults.drop {
             self.stats.dropped += 1;
             return Delivery::dropped();
         }
-        let copies = if unit_f64(mix(base ^ 0xD0B1)) < faults.duplicate {
+        let copies = if unit_f64(splitmix64(base ^ 0xD0B1)) < faults.duplicate {
             self.stats.duplicated += 1;
             2
         } else {
             1
         };
         let extra_delay = if faults.jitter > 0 {
-            let d = mix(base ^ 0x1A77) % (faults.jitter + 1);
+            let d = splitmix64(base ^ 0x1A77) % (faults.jitter + 1);
             if d > 0 {
                 self.stats.delayed += 1;
             }
